@@ -11,15 +11,20 @@
 package harvest_test
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"harvest/internal/cluster"
 	"harvest/internal/core"
+	"harvest/internal/experiments"
 	"harvest/internal/hdfssim"
 	"harvest/internal/simulator"
 	"harvest/internal/tenant"
@@ -176,5 +181,42 @@ func TestGoldenPlacementScheme(t *testing.T) {
 	}
 	if first != want {
 		t.Fatalf("scheme placement changed: got %s, want %s", first, want)
+	}
+}
+
+// TestGoldenDC9Classification pins every tenant's pattern and dominant
+// frequency for the population the benchmark fleet serves (DC-9, scale
+// 0.25, population seed 1). The golden was generated with the FFT that
+// preceded the planned mixed-radix transform, so a transform change that
+// moves any tenant's spectral peak or class shows up here.
+func TestGoldenDC9Classification(t *testing.T) {
+	f, err := os.Open("testdata/dc9_scale025_seed1_classes.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	pop, _, err := experiments.BuildPopulation("DC-9", experiments.Scale{Datacenter: 0.25, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pop.Tenants) != len(want) {
+		t.Fatalf("population has %d tenants, golden has %d", len(pop.Tenants), len(want))
+	}
+	for i, tn := range pop.Tenants {
+		got := fmt.Sprintf("%d %s %d", tn.ID, tn.Profile.Pattern, tn.Profile.DominantFrequency)
+		if got != want[i] {
+			t.Errorf("tenant %d: got %q, golden %q", i, got, want[i])
+		}
 	}
 }

@@ -7,158 +7,89 @@ package signalproc
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
 // ErrEmptyInput is returned when a transform is requested on an empty series.
 var ErrEmptyInput = errors.New("signalproc: empty input")
 
-// FFT computes the discrete Fourier transform of x. Power-of-two lengths use
-// an iterative radix-2 Cooley-Tukey algorithm; other lengths use Bluestein's
-// chirp-z transform so arbitrary trace lengths (e.g. 21600 two-minute slots in
-// a month) are supported without padding artefacts.
+// FFT computes the discrete Fourier transform of x. Lengths whose prime
+// factors are 2, 3 and 5 (a one-month trace is 21600 = 2^5·3^3·5^2
+// two-minute slots) run a planned mixed-radix transform; any other length
+// uses Bluestein's chirp-z transform, so arbitrary trace lengths are
+// supported without padding artefacts.
 func FFT(x []complex128) ([]complex128, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, ErrEmptyInput
 	}
-	if n == 1 {
-		return []complex128{x[0]}, nil
-	}
-	if isPowerOfTwo(n) {
-		out := make([]complex128, n)
-		copy(out, x)
-		radix2(out, false)
-		return out, nil
-	}
-	return bluestein(x, false)
+	out := make([]complex128, n)
+	planFor(n).forward(out, x, nil)
+	return out, nil
 }
 
 // IFFT computes the inverse discrete Fourier transform of x, normalized by
-// 1/N so that IFFT(FFT(x)) == x.
+// 1/N so that IFFT(FFT(x)) == x. It runs the forward transform on the
+// conjugate: IDFT(x) = conj(DFT(conj(x)))/N.
 func IFFT(x []complex128) ([]complex128, error) {
 	n := len(x)
 	if n == 0 {
 		return nil, ErrEmptyInput
 	}
-	var out []complex128
-	var err error
-	if n == 1 {
-		out = []complex128{x[0]}
-	} else if isPowerOfTwo(n) {
-		out = make([]complex128, n)
-		copy(out, x)
-		radix2(out, true)
-	} else {
-		out, err = bluestein(x, true)
-		if err != nil {
-			return nil, err
-		}
+	out := make([]complex128, n)
+	for i, v := range x {
+		out[i] = cmplx.Conj(v)
 	}
-	scale := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= scale
+	planFor(n).forward(out, out, nil)
+	inv := 1 / float64(n)
+	for i, v := range out {
+		out[i] = complex(real(v)*inv, -imag(v)*inv)
 	}
 	return out, nil
 }
 
 // FFTReal transforms a real-valued series and returns the complex spectrum.
+//
+// An even-length series is transformed as the complex series z of its h =
+// n/2 sample pairs (x[2j], x[2j+1]), whose spectrum Z holds both halves: with
+// E and O the spectra of the even and odd samples, E[k] = (Z[k] +
+// conj(Z[h-k]))/2, O[k] = (Z[k] - conj(Z[h-k]))/2i and X[k] = E[k] +
+// exp(-2πi·k/n)·O[k]. A one-month trace thus costs one 10800-point transform.
 func FFTReal(x []float64) ([]complex128, error) {
-	if len(x) == 0 {
+	n := len(x)
+	if n == 0 {
 		return nil, ErrEmptyInput
 	}
-	cx := make([]complex128, len(x))
-	for i, v := range x {
-		cx[i] = complex(v, 0)
-	}
-	return FFT(cx)
-}
-
-func isPowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// nextPowerOfTwo returns the smallest power of two >= n.
-func nextPowerOfTwo(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// radix2 performs an in-place iterative Cooley-Tukey FFT on a power-of-two
-// length slice. When inverse is true the conjugate twiddles are used (the
-// caller applies the 1/N normalization).
-func radix2(a []complex128, inverse bool) {
-	n := len(a)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	for length := 2; length <= n; length <<= 1 {
-		angle := 2 * math.Pi / float64(length)
-		if !inverse {
-			angle = -angle
-		}
-		wl := cmplx.Exp(complex(0, angle))
-		for start := 0; start < n; start += length {
-			w := complex(1, 0)
-			half := length / 2
-			for k := 0; k < half; k++ {
-				u := a[start+k]
-				v := a[start+k+half] * w
-				a[start+k] = u + v
-				a[start+k+half] = u - v
-				w *= wl
-			}
-		}
-	}
-}
-
-// bluestein computes the DFT of an arbitrary-length sequence by re-expressing
-// it as a convolution, which is evaluated with power-of-two FFTs.
-func bluestein(x []complex128, inverse bool) ([]complex128, error) {
-	n := len(x)
-	m := nextPowerOfTwo(2*n + 1)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp sequence w[k] = exp(sign * i*pi*k^2/n).
-	w := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// k^2 mod 2n avoids precision loss for large k.
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		angle := sign * math.Pi * float64(kk) / float64(n)
-		w[k] = cmplx.Exp(complex(0, angle))
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * w[k]
-	}
-	b[0] = cmplx.Conj(w[0])
-	for k := 1; k < n; k++ {
-		b[k] = cmplx.Conj(w[k])
-		b[m-k] = cmplx.Conj(w[k])
-	}
-	radix2(a, false)
-	radix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	radix2(a, true)
-	invM := complex(1/float64(m), 0)
 	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = a[k] * invM * w[k]
+	if n%2 == 1 {
+		for i, v := range x {
+			out[i] = complex(v, 0)
+		}
+		planFor(n).forward(out, out, nil)
+		return out, nil
+	}
+	p := realPlanFor(n)
+	h := n / 2
+	z := out[:h]
+	for j := range z {
+		z[j] = complex(x[2*j], x[2*j+1])
+	}
+	p.half.forward(z, z, out[h:])
+	z0 := z[0]
+	out[0] = complex(real(z0)+imag(z0), 0)
+	out[h] = complex(real(z0)-imag(z0), 0)
+	// Bins k and h-k share their inputs, so each pair is unpacked in place:
+	// with w = exp(-2πi·k/n), X[k] = E + w·O and X[h-k] = conj(E - w·O).
+	for k := 1; 2*k <= h; k++ {
+		zk, zc := z[k], cmplx.Conj(z[h-k])
+		e := scale(0.5, zk+zc)
+		o := p.twiddle[k] * scale(0.5, mulNegI(zk-zc))
+		out[k] = e + o
+		out[h-k] = cmplx.Conj(e - o)
+	}
+	// The upper half mirrors the lower: X[n-k] = conj(X[k]).
+	for k := 1; k < h; k++ {
+		out[n-k] = cmplx.Conj(out[k])
 	}
 	return out, nil
 }
